@@ -61,7 +61,6 @@ void BM_EvaluateMapping(benchmark::State& state,
   ExperimentSpec spec;
   spec.benchmark = benchmark_name;
   const auto problem = make_experiment(spec);
-  const Evaluator evaluator(problem);
   Rng rng(7);
   std::vector<Mapping> mappings;
   for (int i = 0; i < 64; ++i)
@@ -69,7 +68,8 @@ void BM_EvaluateMapping(benchmark::State& state,
         Mapping::random(problem.task_count(), problem.tile_count(), rng));
   std::size_t i = 0;
   for (auto _ : state) {
-    const auto result = evaluator.evaluate_raw(mappings[i++ % 64]);
+    const auto result = evaluate_mapping(problem.network(), problem.cg(),
+                                         mappings[i++ % 64].assignment());
     benchmark::DoNotOptimize(result.worst_snr_db);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -225,7 +225,8 @@ BatchedHeadline report_batched_for(const char* label,
 
   Timer scalar_timer;
   for (const auto& mapping : mappings) {
-    const auto result = evaluator.evaluate_raw(mapping);
+    const auto result = evaluate_mapping(problem.network(), problem.cg(),
+                                         mapping.assignment());
     benchmark::DoNotOptimize(result.worst_snr_db);
   }
   head.scalar_mps = total / scalar_timer.elapsed_seconds();

@@ -9,12 +9,19 @@ namespace phonoc {
 Evaluator::Evaluator(const MappingProblem& problem, EvaluatorOptions options)
     : problem_(problem),
       options_(options),
-      needs_detail_(problem.objective().needs_detail()) {}
+      needs_detail_(problem.objective().needs_detail()),
+      batch_(problem.plan_ptr()) {}
 
-EvaluationResult Evaluator::run_evaluation(const Mapping& mapping,
-                                           bool detailed) const {
-  return evaluate_mapping(problem_.network(), problem_.cg(),
-                          mapping.assignment(), detailed);
+EvaluationResult Evaluator::evaluate_one(const Mapping& mapping,
+                                         bool detailed) const {
+  EvaluationResult result;
+  if (detailed) result.edges.resize(batch_.plan().edge_count());
+  BatchPoint point;
+  batch_.evaluate_trusted(flatten({&mapping, 1}), 1, {&point, 1},
+                          result.edges);
+  result.worst_loss_db = point.worst_loss_db;
+  result.worst_snr_db = point.worst_snr_db;
+  return result;
 }
 
 const double* Evaluator::cache_lookup(const Mapping& mapping,
@@ -83,49 +90,15 @@ void Evaluator::preload_memo(const EvaluatorMemo& memo) {
 }
 
 double Evaluator::evaluate(const Mapping& mapping) {
-  ++count_;
-  const bool memoize = options_.cache_capacity > 0;
-  const std::uint64_t hash = memoize ? mapping.hash() : 0;
-  if (memoize) {
-    if (const double* cached = cache_lookup(mapping, hash)) return *cached;
-    ++cache_misses_;
-  }
-  const auto result = run_evaluation(mapping, needs_detail_);
-  ++physical_count_;
-  const double fitness = problem_.objective().fitness(result);
-  if (memoize) {
-    const auto assignment = mapping.assignment();
-    cache_insert(std::vector<TileId>(assignment.begin(), assignment.end()),
-                 hash, fitness, /*count_evictions=*/true);
-  }
+  double fitness = 0.0;
+  evaluate_batch({&mapping, 1}, {&fitness, 1});
   return fitness;
-}
-
-bool Evaluator::kernel_matches_pre_swap(const Mapping& after, TileId a,
-                                        TileId b) const {
-  if (!kernel_ || !kernel_->has_state() || kernel_->pending()) return false;
-  const auto base = kernel_->assignment();
-  const auto target = after.assignment();
-  if (base.size() != target.size()) return false;
-  for (std::size_t task = 0; task < target.size(); ++task) {
-    TileId expected = target[task];
-    if (expected == a)
-      expected = b;
-    else if (expected == b)
-      expected = a;
-    if (base[task] != expected) return false;
-  }
-  return true;
 }
 
 void Evaluator::sync_kernel_pre_swap(const Mapping& after, TileId a,
                                      TileId b) {
   if (!kernel_)
-    kernel_ = std::make_unique<IncrementalEvaluation>(problem_.network(),
-                                                      problem_.cg());
-  if (kernel_matches_pre_swap(after, a, b)) return;
-  // The optimizer re-based (restart, reheat, fresh start): rebuild the
-  // kernel on the pre-swap assignment so revert_move can restore it.
+    kernel_ = std::make_unique<IncrementalEvaluation>(problem_.plan_ptr());
   const auto target = after.assignment();
   base_scratch_.assign(target.begin(), target.end());
   for (auto& tile : base_scratch_) {
@@ -134,12 +107,14 @@ void Evaluator::sync_kernel_pre_swap(const Mapping& after, TileId a,
     else if (tile == b)
       tile = a;
   }
-  kernel_->reset(base_scratch_);
+  // The optimizer re-based (restart, reheat, fresh start): rebuild the
+  // kernel on the pre-swap assignment so revert_move can restore it.
+  if (!kernel_->has_state() ||
+      !std::ranges::equal(kernel_->assignment(), base_scratch_))
+    kernel_->reset(base_scratch_);
 }
 
 double Evaluator::propose_swap(const Mapping& after, TileId a, TileId b) {
-  if (!options_.incremental)
-    return FitnessFunction::propose_swap(after, a, b);
   sync_kernel_pre_swap(after, a, b);
   kernel_->propose_swap(a, b);
   ++count_;
@@ -155,31 +130,17 @@ void Evaluator::revert_move() {
 }
 
 void Evaluator::apply_move(const Mapping& after, TileId a, TileId b) {
-  if (!options_.incremental) return;  // whole-mapping path is state-free
-  if (!kernel_)
-    kernel_ = std::make_unique<IncrementalEvaluation>(problem_.network(),
-                                                      problem_.cg());
-  if (kernel_matches_pre_swap(after, a, b)) {
-    kernel_->propose_swap(a, b);
-    kernel_->commit();
-  } else {
-    kernel_->reset(after.assignment());
-  }
+  sync_kernel_pre_swap(after, a, b);
+  kernel_->propose_swap(a, b);
+  kernel_->commit();
 }
 
 EvaluationResult Evaluator::evaluate_detailed(const Mapping& mapping) const {
-  return run_evaluation(mapping, /*detailed=*/true);
+  return evaluate_one(mapping, /*detailed=*/true);
 }
 
 EvaluationResult Evaluator::evaluate_raw(const Mapping& mapping) const {
-  return run_evaluation(mapping, needs_detail_);
-}
-
-BatchEvaluator& Evaluator::batch_kernel() const {
-  if (!batch_)
-    batch_ = std::make_unique<BatchEvaluator>(problem_.network(),
-                                              problem_.cg());
-  return *batch_;
+  return evaluate_one(mapping, needs_detail_);
 }
 
 std::span<const TileId> Evaluator::flatten(
@@ -189,8 +150,9 @@ std::span<const TileId> Evaluator::flatten(
   batch_scratch_.reserve(mappings.size() * tasks);
   for (const auto& mapping : mappings) {
     const auto assignment = mapping.assignment();
-    require(assignment.size() == tasks,
-            "Evaluator: batched mapping has the wrong task count");
+    require(assignment.size() == tasks &&
+                mapping.tile_count() == problem_.tile_count(),
+            "Evaluator: mapping does not fit the problem");
     batch_scratch_.insert(batch_scratch_.end(), assignment.begin(),
                           assignment.end());
   }
@@ -202,7 +164,7 @@ void Evaluator::evaluate_raw_batch(std::span<const Mapping> mappings,
   require(out.size() == mappings.size(),
           "Evaluator::evaluate_raw_batch: out size != mapping count");
   if (mappings.empty()) return;
-  batch_kernel().evaluate_trusted(flatten(mappings), mappings.size(), out);
+  batch_.evaluate_trusted(flatten(mappings), mappings.size(), out);
 }
 
 void Evaluator::evaluate_batch(std::span<const Mapping> mappings,
@@ -226,8 +188,9 @@ void Evaluator::evaluate_batch(std::span<const Mapping> mappings,
   batch_scratch_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const auto assignment = mappings[i].assignment();
-    require(assignment.size() == tasks,
-            "Evaluator: batched mapping has the wrong task count");
+    require(assignment.size() == tasks &&
+                mappings[i].tile_count() == problem_.tile_count(),
+            "Evaluator: mapping does not fit the problem");
     if (memoize) {
       hashes[i] = mappings[i].hash();
       if (cache_contains(assignment, hashes[i])) continue;
@@ -255,12 +218,11 @@ void Evaluator::evaluate_batch(std::span<const Mapping> mappings,
   std::vector<EdgeMetrics> detail;
   const std::size_t edge_count = problem_.cg().edges().size();
   if (!scored.empty()) {
-    auto& kernel = batch_kernel();
     if (needs_detail_) {
       detail.resize(scored.size() * edge_count);
-      kernel.evaluate_trusted(batch_scratch_, scored.size(), points, detail);
+      batch_.evaluate_trusted(batch_scratch_, scored.size(), points, detail);
     } else {
-      kernel.evaluate_trusted(batch_scratch_, scored.size(), points);
+      batch_.evaluate_trusted(batch_scratch_, scored.size(), points);
     }
   }
 
@@ -287,10 +249,9 @@ void Evaluator::evaluate_batch(std::span<const Mapping> mappings,
           points[r].worst_loss_db, points[r].worst_snr_db, view_edges});
     } else {
       // Peek promised a hit (memo entry or earlier duplicate) that was
-      // evicted before this row's replay turn: one scalar evaluation,
-      // bit-identical to the kernel by contract.
+      // evicted before this row's replay turn: score it alone.
       fitness = problem_.objective().fitness(
-          run_evaluation(mappings[i], needs_detail_));
+          evaluate_one(mappings[i], needs_detail_));
     }
     ++physical_count_;
     if (memoize) {

@@ -3,23 +3,27 @@
 /// \brief The Mapping Evaluator (paper Fig. 1, block 4): bridges the
 /// physical-layer evaluation and the optimizer's fitness interface.
 ///
-/// The Evaluator implements both fitness paths:
-///  * the whole-mapping path (`evaluate`), backed by `evaluate_mapping`
-///    and an assignment-keyed LRU memo — RS and GA re-sample duplicate
-///    mappings at small problem sizes, and a cache hit skips the
-///    physical evaluation entirely;
+/// Every path scores through the problem's shared evaluation plan
+/// (`MappingProblem::plan`, model/batch_eval.hpp):
+///  * the whole-mapping path (`evaluate`, `evaluate_batch`,
+///    `evaluate_raw`, `evaluate_detailed`) runs the plan's batched pass
+///    — a single mapping is a batch of one — behind an assignment-keyed
+///    LRU memo: RS and GA re-sample duplicate mappings at small problem
+///    sizes, and a cache hit skips the physical evaluation entirely;
 ///  * the transactional move path (`propose_swap` / `commit_move` /
-///    `revert_move` / `apply_move`), backed by the incremental kernel
-///    (model/incremental.hpp) — SA, tabu and R-PBLA score two-tile
-///    swaps in O(touched edges x |E|) instead of O(|E|^2).
+///    `revert_move` / `apply_move`) runs the incremental kernel
+///    (model/incremental.hpp) on the same plan — SA, tabu and R-PBLA
+///    score two-tile swaps in O(touched edges x |E|) instead of
+///    O(|E|^2).
+/// Both are bit-identical to the scalar test oracle `evaluate_mapping`.
 ///
 /// Counting contract: `evaluation_count` counts *logical* evaluations —
 /// one per `evaluate` or `propose_swap` call, whether it was served by
 /// the cache, the kernel, or a full computation. Budgets, traces and
 /// the exec subsystem's bit-identical determinism protocol observe
-/// logical counts only, so enabling the cache or the incremental path
-/// cannot change any optimizer's trajectory. `physical_evaluation_count`
-/// reports how many full `evaluate_mapping` runs actually happened.
+/// logical counts only, so the cache cannot change any optimizer's
+/// trajectory. `physical_evaluation_count` reports how many full
+/// evaluations `evaluate`/`evaluate_batch` actually ran.
 
 #include <cstdint>
 #include <list>
@@ -55,9 +59,6 @@ struct EvaluatorOptions {
   /// it. Keyed by the full assignment (hash-bucketed, equality-checked),
   /// so a hit is always exact.
   std::size_t cache_capacity = 1024;
-  /// Serve the move API with the incremental kernel; when false the
-  /// move API falls back to whole-mapping evaluation (A/B baseline).
-  bool incremental = true;
 };
 
 class Evaluator final : public FitnessFunction {
@@ -65,25 +66,23 @@ class Evaluator final : public FitnessFunction {
   explicit Evaluator(const MappingProblem& problem,
                      EvaluatorOptions options = {});
 
-  /// Fitness (higher = better) of a mapping under the problem objective.
+  /// Fitness (higher = better) of a mapping under the problem
+  /// objective: `evaluate_batch` of one.
   [[nodiscard]] double evaluate(const Mapping& mapping) override;
 
-  /// Batched fitness through the SoA kernel (model/batch_eval.hpp):
-  /// physical scoring runs one vectorized pass over the whole batch,
-  /// while fitness values, logical/physical counts and the memo's
-  /// contents + recency order stay exactly what a sequential loop of
-  /// `evaluate` calls would produce. The memo is peeked (no mutation)
-  /// to decide which rows need physical scoring, the kernel scores
-  /// those in one pass, and a sequential replay then performs the real
-  /// lookups/inserts in index order; a row whose peek promised a hit
-  /// that was evicted before its replay turn falls back to one scalar
-  /// evaluation (bit-identical by the kernel's contract).
+  /// Batched fitness through the plan's batched pass: fitness values,
+  /// logical/physical counts and the memo's contents + recency order
+  /// are exactly what a sequential loop of single evaluations would
+  /// produce. The memo is peeked (no mutation) to decide which rows
+  /// need physical scoring, the kernel scores those in one pass, and a
+  /// sequential replay then performs the real lookups/inserts in index
+  /// order; a row whose peek promised a hit that was evicted before its
+  /// replay turn is scored on its own, as a batch of one. Mappings must
+  /// have the problem's task and tile counts (checked); the `Mapping`
+  /// invariant then guarantees every row is valid.
   void evaluate_batch(std::span<const Mapping> mappings,
                       std::span<double> out) override;
 
-  [[nodiscard]] bool supports_moves() const override {
-    return options_.incremental;
-  }
   [[nodiscard]] double propose_swap(const Mapping& after, TileId a,
                                     TileId b) override;
   void commit_move() override;
@@ -114,7 +113,8 @@ class Evaluator final : public FitnessFunction {
   [[nodiscard]] std::uint64_t evaluation_count() const noexcept {
     return count_;
   }
-  /// Full evaluate_mapping runs performed by `evaluate` (cache misses).
+  /// Full evaluations performed by `evaluate`/`evaluate_batch` (cache
+  /// misses).
   [[nodiscard]] std::uint64_t physical_evaluation_count() const noexcept {
     return physical_count_;
   }
@@ -147,10 +147,6 @@ class Evaluator final : public FitnessFunction {
   /// not evaluation activity.
   void preload_memo(const EvaluatorMemo& memo);
 
-  /// Full O(|E|^2) rebuilds of the incremental kernel (base changes).
-  [[nodiscard]] std::uint64_t kernel_rebuild_count() const noexcept {
-    return kernel_ ? kernel_->rebuild_count() : 0;
-  }
   void reset_count() noexcept { count_ = 0; }
 
   [[nodiscard]] const MappingProblem& problem() const noexcept {
@@ -159,23 +155,22 @@ class Evaluator final : public FitnessFunction {
   [[nodiscard]] const EvaluatorOptions& options() const noexcept {
     return options_;
   }
+  /// The plan every path scores through: the problem's, shared.
+  [[nodiscard]] const BatchEvalPlan& plan() const noexcept {
+    return batch_.plan();
+  }
 
  private:
-  /// Single evaluation backend shared by every public entry point.
-  [[nodiscard]] EvaluationResult run_evaluation(const Mapping& mapping,
-                                                bool detailed) const;
-  /// Lazily built batched kernel (plan construction is O(tiles^2 x
-  /// hops), so it only happens once a batch entry point is used).
-  [[nodiscard]] BatchEvaluator& batch_kernel() const;
-  /// Flatten `mappings` row-major into `batch_scratch_`.
+  /// Score one mapping through the plan: a batch of one.
+  [[nodiscard]] EvaluationResult evaluate_one(const Mapping& mapping,
+                                              bool detailed) const;
+  /// Flatten `mappings` row-major into `batch_scratch_`, checking each
+  /// has the problem's task and tile counts (the `Mapping` invariant
+  /// then makes every row a valid kernel input).
   std::span<const TileId> flatten(std::span<const Mapping> mappings) const;
-  /// True when the kernel's committed state equals `after` with the
-  /// (a, b) swap undone — i.e. the kernel sits on the caller's pre-move
-  /// mapping and can score the move incrementally.
-  [[nodiscard]] bool kernel_matches_pre_swap(const Mapping& after, TileId a,
-                                             TileId b) const;
-  /// Ensure the kernel holds the pre-swap base, rebuilding if the
-  /// optimizer re-based (restart, reheat, arbitrary re-assignment).
+  /// Ensure the kernel holds `after` with the (a, b) swap undone — the
+  /// caller's pre-move mapping — rebuilding if the optimizer re-based
+  /// (restart, reheat, arbitrary re-assignment).
   void sync_kernel_pre_swap(const Mapping& after, TileId a, TileId b);
   [[nodiscard]] const double* cache_lookup(const Mapping& mapping,
                                            std::uint64_t hash);
@@ -213,10 +208,10 @@ class Evaluator final : public FitnessFunction {
   std::unique_ptr<IncrementalEvaluation> kernel_;  ///< lazily constructed
   std::vector<TileId> base_scratch_;
 
-  // --- batched path ----------------------------------------------------------
+  // --- whole-mapping path ----------------------------------------------------
   /// Mutable: the batch kernel is pure scoring plus reusable scratch,
-  /// so the const `evaluate_raw_batch` may build and use it.
-  mutable std::unique_ptr<BatchEvaluator> batch_;
+  /// so the const entry points may use it.
+  mutable BatchEvaluator batch_;
   mutable std::vector<TileId> batch_scratch_;
 };
 

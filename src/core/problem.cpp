@@ -16,6 +16,7 @@ MappingProblem::MappingProblem(CommGraph cg,
   require(cg_.task_count() <= network_->tile_count(),
           "MappingProblem: more tasks than tiles (violates Eq. 2: "
           "size(C) <= size(T))");
+  plan_ = std::make_shared<const BatchEvalPlan>(*network_, cg_);
 }
 
 }  // namespace phonoc

@@ -7,13 +7,15 @@
 
 #include "graph/comm_graph.hpp"
 #include "mapping/objective.hpp"
+#include "model/batch_eval.hpp"
 #include "model/network_model.hpp"
 
 namespace phonoc {
 
 class MappingProblem {
  public:
-  /// Validates Eq. (2): size(C) <= size(T).
+  /// Validates Eq. (2): size(C) <= size(T), then builds the problem's
+  /// evaluation plan.
   MappingProblem(CommGraph cg, std::shared_ptr<const NetworkModel> network,
                  std::shared_ptr<const Objective> objective);
 
@@ -33,6 +35,15 @@ class MappingProblem {
     return objective_;
   }
 
+  /// The evaluation plan of {network, cg}, built once here and shared
+  /// (read-only, thread-safe) by every Evaluator, cell and cached
+  /// service request on this problem.
+  [[nodiscard]] const BatchEvalPlan& plan() const noexcept { return *plan_; }
+  [[nodiscard]] const std::shared_ptr<const BatchEvalPlan>& plan_ptr()
+      const noexcept {
+    return plan_;
+  }
+
   [[nodiscard]] std::size_t task_count() const noexcept {
     return cg_.task_count();
   }
@@ -44,6 +55,7 @@ class MappingProblem {
   CommGraph cg_;
   std::shared_ptr<const NetworkModel> network_;
   std::shared_ptr<const Objective> objective_;
+  std::shared_ptr<const BatchEvalPlan> plan_;
 };
 
 }  // namespace phonoc

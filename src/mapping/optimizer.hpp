@@ -31,8 +31,8 @@ namespace phonoc {
 /// follows. `apply_move` adopts a swap whose fitness is already known
 /// without spending an evaluation. The default implementations fall back
 /// to `evaluate`, so state-free fitness functions need not override
-/// anything; implementations that answer `supports_moves() == true` may
-/// keep arbitrary internal state between calls. One proposal may be
+/// anything; implementations that override the move API may keep
+/// arbitrary internal state between calls. One proposal may be
 /// outstanding at a time. Every `propose_swap` counts as one *logical*
 /// evaluation, exactly like `evaluate` — budgets and determinism
 /// contracts observe logical evaluations, never the physical work done.
@@ -52,8 +52,6 @@ class FitnessFunction {
       out[i] = evaluate(mappings[i]);
   }
 
-  /// True when propose/commit/revert are served by an incremental path.
-  [[nodiscard]] virtual bool supports_moves() const { return false; }
   /// Fitness of `after`, which is the previous mapping with the (a, b)
   /// tile swap already applied.
   [[nodiscard]] virtual double propose_swap(const Mapping& after, TileId a,

@@ -74,12 +74,11 @@ BatchEvalPlan::BatchEvalPlan(const NetworkModel& net, const CommGraph& cg)
       pair_gain_[v * conns_ + a] = k > 0.0 ? k : 0.0;
     }
 
-  // Flatten every ordered tile pair's path. Diagonal rows stay empty
-  // (hop_begin == hop_end) and are never referenced: assignments are
-  // injective and the CG has no self-loops.
+  // Flatten every ordered tile pair's path, in path-id order. Diagonal
+  // rows stay empty and are never referenced: assignments are injective
+  // and the CG has no self-loops.
   const std::size_t path_rows = tiles_ * tiles_;
-  hop_begin_.assign(path_rows, 0);
-  hop_end_.assign(path_rows, 0);
+  hop_offset_.assign(path_rows + 1, 0);
   total_gain_.assign(path_rows, 1.0);
   total_loss_db_.assign(path_rows, 0.0);
   tile_mask_.assign(path_rows * mask_words_, 0);
@@ -96,17 +95,16 @@ BatchEvalPlan::BatchEvalPlan(const NetworkModel& net, const CommGraph& cg)
 
   for (TileId s = 0; s < tiles_; ++s) {
     for (TileId d = 0; d < tiles_; ++d) {
+      const std::size_t pid = path_id(s, d);
+      hop_offset_[pid] = static_cast<std::uint32_t>(hop_tile_.size());
       if (s == d) continue;
       const PathData& p = net.path(s, d);
-      const std::size_t pid = path_id(s, d);
-      hop_begin_[pid] = static_cast<std::uint32_t>(hop_tile_.size());
       for (std::size_t h = 0; h < p.hops.size(); ++h) {
         hop_tile_.push_back(p.hops[h].tile);
         hop_conn_.push_back(p.conn[h]);
         hop_arrive_.push_back(p.arrive_gain[h]);
         hop_exit_.push_back(p.exit_suffix[h]);
       }
-      hop_end_[pid] = static_cast<std::uint32_t>(hop_tile_.size());
       total_gain_[pid] = p.total_gain;
       total_loss_db_[pid] = p.total_loss_db;
       // The probe row and the mask both mirror hop_at_tile (not the hop
@@ -120,10 +118,8 @@ BatchEvalPlan::BatchEvalPlan(const NetworkModel& net, const CommGraph& cg)
       }
     }
   }
+  hop_offset_[path_rows] = static_cast<std::uint32_t>(hop_tile_.size());
 }
-
-BatchEvaluator::BatchEvaluator(const NetworkModel& net, const CommGraph& cg)
-    : BatchEvaluator(std::make_shared<const BatchEvalPlan>(net, cg)) {}
 
 BatchEvaluator::BatchEvaluator(std::shared_ptr<const BatchEvalPlan> plan)
     : plan_(std::move(plan)) {
@@ -136,16 +132,8 @@ BatchEvaluator::BatchEvaluator(std::shared_ptr<const BatchEvalPlan> plan)
 }
 
 void BatchEvaluator::evaluate(std::span<const TileId> assignments,
-                              std::size_t batch, std::span<BatchPoint> out) {
-  run(assignments, batch, out, {}, /*validate=*/true);
-}
-
-void BatchEvaluator::evaluate_detailed(std::span<const TileId> assignments,
-                                       std::size_t batch,
-                                       std::span<BatchPoint> out,
-                                       std::span<EdgeMetrics> edges_out) {
-  require(edges_out.size() == batch * plan_->edge_count(),
-          "BatchEvaluator: edges_out size != batch * edge_count");
+                              std::size_t batch, std::span<BatchPoint> out,
+                              std::span<EdgeMetrics> edges_out) {
   run(assignments, batch, out, edges_out, /*validate=*/true);
 }
 
@@ -153,9 +141,6 @@ void BatchEvaluator::evaluate_trusted(std::span<const TileId> assignments,
                                       std::size_t batch,
                                       std::span<BatchPoint> out,
                                       std::span<EdgeMetrics> edges_out) {
-  if (!edges_out.empty())
-    require(edges_out.size() == batch * plan_->edge_count(),
-            "BatchEvaluator: edges_out size != batch * edge_count");
   run(assignments, batch, out, edges_out, /*validate=*/false);
 }
 
@@ -179,14 +164,11 @@ void BatchEvaluator::run(std::span<const TileId> assignments,
   require(assignments.size() == batch * tasks,
           "BatchEvaluator: assignments size != batch * task_count");
   require(out.size() == batch, "BatchEvaluator: out size != batch");
+  require(edges_out.empty() || edges_out.size() == batch * edges,
+          "BatchEvaluator: edges_out size != batch * edge_count");
 
   const std::size_t words = plan.mask_words_;
-  const std::size_t conns = plan.conns_;
-  const std::uint32_t* PHONOC_RESTRICT hop_tile = plan.hop_tile_.data();
-  const std::uint32_t* PHONOC_RESTRICT hop_conn = plan.hop_conn_.data();
-  const double* PHONOC_RESTRICT hop_arrive = plan.hop_arrive_.data();
-  const double* PHONOC_RESTRICT hop_exit = plan.hop_exit_.data();
-  const double* PHONOC_RESTRICT gain_table = plan.pair_gain_.data();
+  const BatchEvalPlan::Arena arena = plan.arena();
 
   for (std::size_t b = 0; b < batch; ++b) {
     const std::span<const TileId> assignment =
@@ -225,30 +207,14 @@ void BatchEvaluator::run(std::span<const TileId> assignments,
                        sieve_.data(), edges, words);
       sieve_[v] = 0;  // a == v contributes nothing (self-pair)
 
-      const std::int16_t* PHONOC_RESTRICT victim_row =
-          &plan.victim_hop_[pv * plan.tiles_];
-      const std::size_t vbase = plan.hop_begin_[pv];
-
       // Ascending attacker order with per-attacker subtotals — the
       // exact addition sequence of evaluate_mapping's nested
       // noise_contribution calls (skipped pairs/hops add exact +0.0,
       // the identity on this non-negative accumulator).
       double noise = 0.0;
-      for (std::size_t a = 0; a < edges; ++a) {
-        if (sieve_[a] == 0) continue;
-        const std::size_t pa = path_of_edge_[a];
-        const std::size_t end = plan.hop_end_[pa];
-        double contribution = 0.0;
-        for (std::size_t h = plan.hop_begin_[pa]; h < end; ++h) {
-          const int vi = victim_row[hop_tile[h]];
-          if (vi < 0) continue;
-          const std::size_t vh = vbase + static_cast<std::size_t>(vi);
-          contribution += hop_arrive[h] *
-                          gain_table[hop_conn[vh] * conns + hop_conn[h]] *
-                          hop_exit[vh];
-        }
-        noise += contribution;
-      }
+      for (std::size_t a = 0; a < edges; ++a)
+        if (sieve_[a] != 0)
+          noise += BatchEvalPlan::hop_walk(arena, pv, path_of_edge_[a]);
 
       const double snr =
           std::min(snr_db(plan.total_gain_[pv], noise), plan.ceiling_db_);

@@ -3,10 +3,9 @@
 /// \brief Mapping evaluation: worst-case insertion loss and worst-case
 /// SNR of a Communication Graph mapped onto a network (paper Eq. 3/4).
 ///
-/// This is the hot path of the design space exploration — the Fig. 3
-/// experiment alone evaluates 100 000 mappings per application — so the
-/// evaluation works exclusively on precomputed PathData and router
-/// matrices.
+/// The two functions are the scalar walk over PathData: the test oracle
+/// that the evaluation plan (model/batch_eval.hpp) must match bitwise.
+/// Production code scores through the plan; CI enforces that.
 
 #include <span>
 #include <vector>
@@ -37,9 +36,9 @@ struct EvaluationResult {
 };
 
 /// Non-owning view of an evaluated mapping. Objectives fold over this so
-/// both evaluation paths — the whole-mapping `evaluate_mapping` and the
-/// incremental kernel, which keeps its per-edge metrics alive across
-/// moves — feed the same fitness code without copying the edge vector.
+/// every evaluation path — including the incremental kernel, which keeps
+/// its per-edge metrics alive across moves — feeds the same fitness code
+/// without copying the edge vector.
 struct EvaluationView {
   double worst_loss_db = 0.0;
   double worst_snr_db = 0.0;
@@ -56,8 +55,8 @@ struct EvaluationView {
     std::span<const TileId> assignment, bool detailed = false);
 
 /// Noise power (linear, per unit attacker injected power) that `attacker`
-/// adds onto `victim`'s detector; exposed for the detailed analyses and
-/// tests. Paths must come from the same NetworkModel.
+/// adds onto `victim`'s detector (the `BatchEvalPlan::pair_noise`
+/// oracle). Paths must come from the same NetworkModel.
 [[nodiscard]] double noise_contribution(const NetworkModel& net,
                                         const PathData& victim,
                                         const PathData& attacker);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "model/batch_eval.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -13,17 +14,22 @@ std::vector<std::vector<double>> interference_matrix(
     std::span<const TileId> assignment) {
   require(assignment.size() == cg.task_count(),
           "interference_matrix: assignment size != task count");
-  const auto edges = cg.graph().edges();
-  std::vector<const PathData*> paths;
-  paths.reserve(edges.size());
-  for (const auto& e : edges)
-    paths.push_back(&net.path(assignment[e.src], assignment[e.dst]));
+  const BatchEvalPlan plan(net, cg);
+  std::vector<std::size_t> paths;
+  paths.reserve(plan.edge_count());
+  for (std::size_t e = 0; e < plan.edge_count(); ++e) {
+    const TileId src = assignment[plan.edge_src(e)];
+    const TileId dst = assignment[plan.edge_dst(e)];
+    require(src < plan.tile_count() && dst < plan.tile_count() && src != dst,
+            "interference_matrix: invalid assignment");
+    paths.push_back(plan.path_id(src, dst));
+  }
 
   std::vector<std::vector<double>> w(
-      edges.size(), std::vector<double>(edges.size(), 0.0));
-  for (std::size_t v = 0; v < edges.size(); ++v)
-    for (std::size_t a = 0; a < edges.size(); ++a)
-      if (v != a) w[v][a] = noise_contribution(net, *paths[v], *paths[a]);
+      paths.size(), std::vector<double>(paths.size(), 0.0));
+  for (std::size_t v = 0; v < paths.size(); ++v)
+    for (std::size_t a = 0; a < paths.size(); ++a)
+      if (v != a) w[v][a] = plan.pair_noise(paths[v], paths[a]);
   return w;
 }
 

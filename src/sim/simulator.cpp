@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "model/evaluation.hpp"
+#include "model/batch_eval.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -55,12 +55,19 @@ SimulationResult simulate(const NetworkModel& net, const CommGraph& cg,
     return result;
   }
 
-  // Resolve paths once (also validates the mapping against the network).
+  // Resolve paths once (also validates the mapping against the
+  // network); pair noise comes from the evaluation plan's path ids.
+  const BatchEvalPlan plan(net, cg);
   std::vector<const PathData*> paths;
+  std::vector<std::size_t> path_ids;
   paths.reserve(edges.size());
-  for (const auto& e : edges)
-    paths.push_back(
-        &net.path(mapping.tile_of(e.src), mapping.tile_of(e.dst)));
+  path_ids.reserve(edges.size());
+  for (const auto& e : edges) {
+    const TileId src = mapping.tile_of(e.src);
+    const TileId dst = mapping.tile_of(e.dst);
+    paths.push_back(&net.path(src, dst));
+    path_ids.push_back(plan.path_id(src, dst));
+  }
 
   // --- generate Poisson arrivals per edge ---------------------------------
   double mean_bw = 0.0;
@@ -163,7 +170,7 @@ SimulationResult simulate(const NetworkModel& net, const CommGraph& cg,
     const auto add_attacker = [&](const Transmission& other) {
       if (edge_counted[other.edge]) return;
       edge_counted[other.edge] = true;
-      noise += noise_contribution(net, *paths[tx.edge], *paths[other.edge]);
+      noise += plan.pair_noise(path_ids[tx.edge], path_ids[other.edge]);
     };
     // Scan neighbours in start order around idx; overlap window is hold_ns.
     for (std::size_t k = idx; k-- > 0;) {

@@ -5,7 +5,8 @@
 // bitwise (tolerance 0). Also covers the Evaluator's batched entry
 // points (memo/counting contracts vs a sequential loop, including the
 // peek-then-evicted fallback), GA batch-vs-sequential trajectory
-// equivalence, and the batched Sample-cell body.
+// equivalence, RandomSearch chunked-vs-sequential trajectory
+// equivalence, the batched Sample-cell body, and plan sharing.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "exec/sweep.hpp"
 #include "mapping/genetic.hpp"
 #include "mapping/mapping.hpp"
+#include "mapping/random_search.hpp"
 #include "mapping/objective.hpp"
 #include "model/batch_eval.hpp"
 #include "model/evaluation.hpp"
@@ -95,7 +97,7 @@ TEST_P(BatchBitIdentity, MatchesEvaluateMappingBitwise) {
   const auto& [topology, batch] = GetParam();
   const auto net = make_net(topology, 4);
   const auto cg = make_cg(12, 101 + batch);
-  BatchEvaluator batched(*net, cg);
+  BatchEvaluator batched(std::make_shared<const BatchEvalPlan>(*net, cg));
   const std::size_t tasks = cg.task_count();
   ASSERT_EQ(batched.plan().edge_count(), cg.edges().size());
 
@@ -103,7 +105,7 @@ TEST_P(BatchBitIdentity, MatchesEvaluateMappingBitwise) {
   const auto flat = random_batch(batch, tasks, net->tile_count(), rng);
   std::vector<BatchPoint> points(batch);
   std::vector<EdgeMetrics> detail(batch * cg.edges().size());
-  batched.evaluate_detailed(flat, batch, points, detail);
+  batched.evaluate(flat, batch, points, detail);
 
   for (std::size_t b = 0; b < batch; ++b) {
     const std::span<const TileId> row{flat.data() + b * tasks, tasks};
@@ -151,7 +153,7 @@ TEST(BatchEval, ZeroEdgeCgYieldsCeiling) {
   const auto net = make_net("mesh", 2);
   CommGraph cg("edgeless");
   for (int t = 0; t < 3; ++t) cg.add_task("t" + std::to_string(t));
-  BatchEvaluator batched(*net, cg);
+  BatchEvaluator batched(std::make_shared<const BatchEvalPlan>(*net, cg));
   Rng rng(5);
   const auto flat = random_batch(4, 3, net->tile_count(), rng);
   std::vector<BatchPoint> points(4);
@@ -169,7 +171,7 @@ TEST(BatchEval, ZeroEdgeCgYieldsCeiling) {
 TEST(BatchEval, ValidatedEntryRejectsBadAssignments) {
   const auto net = make_net("mesh", 2);
   const auto cg = make_cg(4, 7);
-  BatchEvaluator batched(*net, cg);
+  BatchEvaluator batched(std::make_shared<const BatchEvalPlan>(*net, cg));
   std::vector<BatchPoint> out(1);
 
   std::vector<TileId> duplicate_tile{0, 1, 1, 2};
@@ -340,6 +342,75 @@ TEST(GeneticBatch, TrajectoryMatchesSequentialScoring) {
   }
 }
 
+/// RandomSearch generates and scores chunks through evaluate_batch; a
+/// sequential sample-then-score loop (the pre-chunking body) must give
+/// the identical OptimizerResult and memo counters at every budget
+/// around the chunk boundary.
+TEST(RandomSearchBatch, ChunkedMatchesSequentialLoop) {
+  constexpr std::uint64_t chunk = RandomSearch::kChunk;
+  for (const std::uint64_t budget :
+       {std::uint64_t{1}, chunk - 1, chunk, chunk + 1, std::uint64_t{2000}}) {
+    // 5 tasks on a 3x3 mesh: 15120 distinct mappings, so a 2000-sample
+    // run revisits some and the memo sees hits, misses and evictions.
+    auto cg = make_cg(5, 59);
+    const MappingProblem problem(std::move(cg), make_net("mesh", 3),
+                                 std::make_shared<WorstSnrObjective>());
+    Evaluator chunked(problem, {.cache_capacity = 256});
+    Evaluator sequential(problem, {.cache_capacity = 256});
+    const OptimizerBudget b{.max_evaluations = budget};
+    const auto got = RandomSearch().optimize(chunked, problem.task_count(),
+                                             problem.tile_count(), b, 13);
+
+    SearchState state(sequential, problem.task_count(), problem.tile_count(),
+                      b, 13);
+    std::uint64_t samples = 0;
+    do {
+      state.evaluate(Mapping::random(problem.task_count(),
+                                     problem.tile_count(), state.rng()));
+      ++samples;
+    } while (!state.exhausted());
+    const auto want = state.finish(samples);
+
+    EXPECT_EQ(got.best_fitness, want.best_fitness) << "budget " << budget;
+    EXPECT_TRUE(got.best == want.best) << "budget " << budget;
+    EXPECT_EQ(got.evaluations, budget);
+    EXPECT_EQ(got.evaluations, want.evaluations);
+    EXPECT_EQ(got.iterations, want.iterations);
+    ASSERT_EQ(got.trace.size(), want.trace.size()) << "budget " << budget;
+    for (std::size_t i = 0; i < got.trace.size(); ++i) {
+      EXPECT_EQ(got.trace[i].evaluation, want.trace[i].evaluation);
+      EXPECT_EQ(got.trace[i].fitness, want.trace[i].fitness);
+    }
+    expect_same_counters(chunked, sequential);
+    if (budget == 2000) {
+      EXPECT_GT(chunked.cache_hit_count(), 0u);
+      EXPECT_GT(chunked.cache_eviction_count(), 0u);
+    }
+  }
+}
+
+TEST(RandomSearchBatch, TimeOnlyBudgetStillEvaluates) {
+  const auto problem = make_problem("mesh", 61);
+  Evaluator evaluator(problem, {});
+  const OptimizerBudget b{.max_evaluations = 0, .max_seconds = 1e-9};
+  const auto result = RandomSearch().optimize(
+      evaluator, problem.task_count(), problem.tile_count(), b, 3);
+  EXPECT_GE(result.evaluations, 1u);
+  EXPECT_EQ(result.evaluations, evaluator.evaluation_count());
+  EXPECT_EQ(result.best.task_count(), problem.task_count());
+}
+
+/// The plan is built once per problem: every Evaluator on it scores
+/// through the same object.
+TEST(EvaluatorPlan, EvaluatorsOnOneProblemShareThePlan) {
+  const auto problem = make_problem("torus", 67);
+  const Evaluator a(problem, {});
+  const Evaluator b(problem, {.cache_capacity = 0});
+  EXPECT_EQ(&a.plan(), &problem.plan());
+  EXPECT_EQ(&b.plan(), &problem.plan());
+  EXPECT_EQ(problem.plan().edge_count(), problem.cg().edges().size());
+}
+
 /// The batched Sample-cell body vs the scalar per-sample loop it
 /// replaced: every histogram bin and running statistic bit-identical.
 TEST(SampleBatch, CellDistributionMatchesScalarLoop) {
@@ -363,12 +434,12 @@ TEST(SampleBatch, CellDistributionMatchesScalarLoop) {
   want.metrics = {
       {"snr_db", Histogram(s.snr_lo_db, s.snr_hi_db, s.snr_bins), {}},
       {"loss_db", Histogram(s.loss_lo_db, s.loss_hi_db, s.loss_bins), {}}};
-  const Evaluator evaluator(problem, {});
   Rng rng(got.seed);
   for (std::uint64_t i = 0; i < s.samples_per_cell; ++i) {
     const auto mapping =
         Mapping::random(problem.task_count(), problem.tile_count(), rng);
-    const auto evaluation = evaluator.evaluate_raw(mapping);
+    const auto evaluation = evaluate_mapping(
+        problem.network(), problem.cg(), mapping.assignment());
     want.metrics[0].histogram.add(evaluation.worst_snr_db);
     want.metrics[0].stats.add(evaluation.worst_snr_db);
     want.metrics[1].histogram.add(evaluation.worst_loss_db);

@@ -20,6 +20,7 @@
 #include "exec/serialize.hpp"
 #include "exec/sweep.hpp"
 #include "exec/thread_pool.hpp"
+#include "oracle_fitness.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "workloads/generator.hpp"
@@ -274,7 +275,7 @@ TEST(Serialize, ShardRoundTripsEveryField) {
   shard.spec = wire_spec();
   shard.begin = 7;
   shard.end = 23;
-  shard.evaluator = {.cache_capacity = 99, .incremental = false};
+  shard.evaluator = {.cache_capacity = 99};
   std::ostringstream out;
   write_shard(out, shard);
   std::istringstream in(out.str());
@@ -283,7 +284,6 @@ TEST(Serialize, ShardRoundTripsEveryField) {
   EXPECT_EQ(parsed.begin, 7u);
   EXPECT_EQ(parsed.end, 23u);
   EXPECT_EQ(parsed.evaluator.cache_capacity, 99u);
-  EXPECT_FALSE(parsed.evaluator.incremental);
   const auto& a = shard.spec;
   const auto& b = parsed.spec;
   EXPECT_EQ(b.router, a.router);
@@ -947,8 +947,9 @@ INSTANTIATE_TEST_SUITE_P(RandomProblems, DeterminismSweep,
 TEST(Determinism, EvaluatorOptionsCannotChangeBatchResults) {
   // The evaluation memo and the incremental move path only change the
   // physical cost of a cell, never its outcome: a grid run with the
-  // memo disabled and the move API on the whole-mapping fallback is
-  // bit-identical to the default (LRU + incremental kernel) run.
+  // default (LRU + incremental kernel) evaluator, and one with the memo
+  // disabled, are both bit-identical to every cell scored by the
+  // scalar oracle through the whole-mapping move API.
   SweepSpec spec;
   spec.add_workload("random", random_cg({.tasks = 8,
                                          .avg_out_degree = 1.6,
@@ -960,13 +961,22 @@ TEST(Determinism, EvaluatorOptionsCannotChangeBatchResults) {
       .add_budget(300)
       .add_seed(7);
   const auto defaults = BatchEngine({.workers = 2}).run(spec);
-  const auto plain =
-      BatchEngine({.workers = 2,
-                   .evaluator = {.cache_capacity = 0, .incremental = false}})
+  const auto uncached =
+      BatchEngine({.workers = 2, .evaluator = {.cache_capacity = 0}})
           .run(spec);
+  const auto cells = expand(spec);
+  const auto problem = make_problem(spec, cells[0]);
+  std::vector<RunResult> plain;
+  for (const auto& cell : cells)
+    plain.push_back(oracle_run(problem, spec.optimizers[cell.optimizer],
+                               spec.budgets[cell.budget],
+                               spec.seeds[cell.seed]));
   ASSERT_EQ(defaults.size(), plain.size());
-  for (std::size_t i = 0; i < defaults.size(); ++i)
-    expect_identical(defaults[i].run, plain[i].run);
+  ASSERT_EQ(uncached.size(), plain.size());
+  for (std::size_t i = 0; i < defaults.size(); ++i) {
+    expect_identical(defaults[i].run, plain[i]);
+    expect_identical(uncached[i].run, plain[i]);
+  }
 }
 
 TEST(Determinism, ParallelCompareMatchesSequentialCompare) {

@@ -2,9 +2,10 @@
 // random CGs, mesh/ring/torus topologies and all four objectives, long
 // random propose/commit/revert swap sequences must stay bit-identical
 // (tolerance 0) to full `evaluate_mapping` re-evaluation — fitness and
-// per-edge metrics alike. Also covers the Evaluator's transactional
-// move API, the incremental-vs-whole-mapping equivalence of complete
-// optimizer runs, and the whole-mapping memo's counting contract
+// per-edge metrics alike — both on a kernel-owned plan and on the
+// problem's shared one. Also covers the Evaluator's transactional move
+// API, the equivalence of complete optimizer runs with runs scored by
+// the scalar oracle, and the whole-mapping memo's counting contract
 // (cache hits must never change the evaluation counts budgets observe).
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "mapping/mapping.hpp"
 #include "mapping/objective.hpp"
 #include "model/incremental.hpp"
+#include "oracle_fitness.hpp"
 #include "router/registry.hpp"
 #include "router/router_model.hpp"
 #include "routing/table_routing.hpp"
@@ -113,13 +115,22 @@ TEST_P(DeltaEqualsFullSweep, LongRandomSwapSequenceIsBitIdentical) {
   const auto problem = make_test_problem(topology, objective, 77);
   const auto tiles = problem.tile_count();
 
-  IncrementalEvaluation kernel(problem.network(), problem.cg());
-  EXPECT_FALSE(kernel.has_state());
+  // The same walk drives a kernel on its own plan and one on the
+  // problem's shared plan (what every Evaluator on the problem uses).
+  IncrementalEvaluation own(problem.network(), problem.cg());
+  IncrementalEvaluation shared(problem.plan_ptr());
+  ASSERT_EQ(&shared.plan(), &problem.plan());
+  IncrementalEvaluation* const kernels[] = {&own, &shared};
+  const auto check = [&](const Mapping& mapping, const std::string& where) {
+    expect_matches_full(problem, own, mapping, where + " (own plan)");
+    expect_matches_full(problem, shared, mapping, where + " (shared plan)");
+  };
+  EXPECT_FALSE(own.has_state());
+  EXPECT_FALSE(shared.has_state());
   Rng rng(std::hash<std::string>{}(std::string(topology) + objective));
   Mapping current = Mapping::random(problem.task_count(), tiles, rng);
-  kernel.reset(current.assignment());
-  ASSERT_NO_FATAL_FAILURE(
-      expect_matches_full(problem, kernel, current, "after reset"));
+  for (auto* kernel : kernels) kernel->reset(current.assignment());
+  ASSERT_NO_FATAL_FAILURE(check(current, "after reset"));
 
   int commits = 0;
   int reverts = 0;
@@ -128,28 +139,27 @@ TEST_P(DeltaEqualsFullSweep, LongRandomSwapSequenceIsBitIdentical) {
     if (step % 250 == 249) {
       // Arbitrary re-assignment: the full-rebuild fallback.
       current = Mapping::random(problem.task_count(), tiles, rng);
-      kernel.reset(current.assignment());
-      ASSERT_NO_FATAL_FAILURE(
-          expect_matches_full(problem, kernel, current, where + " rebase"));
+      for (auto* kernel : kernels) kernel->reset(current.assignment());
+      ASSERT_NO_FATAL_FAILURE(check(current, where + " rebase"));
       continue;
     }
     const auto a = static_cast<TileId>(rng.next_below(tiles));
     const auto b = static_cast<TileId>(rng.next_below(tiles));
     current.swap_tiles(a, b);
-    kernel.propose_swap(a, b);
-    ASSERT_TRUE(kernel.pending());
-    ASSERT_NO_FATAL_FAILURE(
-        expect_matches_full(problem, kernel, current, where + " propose"));
+    for (auto* kernel : kernels) {
+      kernel->propose_swap(a, b);
+      ASSERT_TRUE(kernel->pending());
+    }
+    ASSERT_NO_FATAL_FAILURE(check(current, where + " propose"));
     if (rng.next_bool(0.6)) {
-      kernel.commit();
+      for (auto* kernel : kernels) kernel->commit();
       ++commits;
     } else {
       // Revert-after-propose round trip must restore the state bitwise.
-      kernel.revert();
+      for (auto* kernel : kernels) kernel->revert();
       current.swap_tiles(a, b);
       ++reverts;
-      ASSERT_NO_FATAL_FAILURE(
-          expect_matches_full(problem, kernel, current, where + " revert"));
+      ASSERT_NO_FATAL_FAILURE(check(current, where + " revert"));
     }
   }
   EXPECT_GT(commits, 100);
@@ -224,7 +234,6 @@ TEST(IncrementalKernel, EmptyTileAndIdentitySwapsAreExactNoOps) {
 TEST(EvaluatorMoves, ProposalCountsOneLogicalEvaluation) {
   const auto problem = make_test_problem("mesh", "worst_snr", 21);
   Evaluator evaluator(problem);
-  ASSERT_TRUE(evaluator.supports_moves());
   Rng rng(2);
   Mapping current = Mapping::random(problem.task_count(),
                                     problem.tile_count(), rng);
@@ -235,7 +244,9 @@ TEST(EvaluatorMoves, ProposalCountsOneLogicalEvaluation) {
   const double proposed = evaluator.propose_swap(current, 1, 2);
   EXPECT_EQ(evaluator.evaluation_count(), 2u);
   EXPECT_EQ(proposed,
-            problem.objective().fitness(evaluator.evaluate_raw(current)));
+            problem.objective().fitness(evaluate_mapping(
+                problem.network(), problem.cg(), current.assignment(),
+                problem.objective().needs_detail())));
   evaluator.revert_move();
   current.swap_tiles(1, 2);
   // Back at the base: a re-proposal of any swap still agrees with the
@@ -244,11 +255,10 @@ TEST(EvaluatorMoves, ProposalCountsOneLogicalEvaluation) {
   EXPECT_EQ(evaluator.evaluation_count(), 3u);
 }
 
-TEST(EvaluatorMoves, IncrementalOffFallsBackBitIdentically) {
+TEST(EvaluatorMoves, MoveApiMatchesWholeMappingOracleBitIdentically) {
   const auto problem = make_test_problem("torus", "composite", 23);
-  Evaluator incremental(problem, {.cache_capacity = 0, .incremental = true});
-  Evaluator fallback(problem, {.cache_capacity = 0, .incremental = false});
-  EXPECT_FALSE(fallback.supports_moves());
+  Evaluator incremental(problem, {.cache_capacity = 0});
+  OracleFitness fallback(problem);
   Rng rng(17);
   Mapping a = Mapping::random(problem.task_count(), problem.tile_count(),
                               rng);
@@ -275,7 +285,7 @@ TEST(EvaluatorMoves, IncrementalOffFallsBackBitIdentically) {
   EXPECT_EQ(incremental.evaluation_count(), fallback.evaluation_count());
 }
 
-// --- complete optimizer runs: incremental on/off, cache on/off --------------
+// --- complete optimizer runs: kernel vs oracle, cache on/off ----------------
 
 void expect_identical_runs(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.algorithm, b.algorithm);
@@ -293,21 +303,19 @@ void expect_identical_runs(const RunResult& a, const RunResult& b) {
 }
 
 TEST(EvaluatorEquivalence, OptimizerTrajectoriesMatchWholeMappingPath) {
-  // The load-bearing end-to-end property: for every move-based
-  // optimizer, the incremental path (and the memo) must reproduce the
-  // whole-mapping sequential protocol bit for bit.
+  // The load-bearing end-to-end property: for every optimizer, the
+  // plan-backed paths (incremental moves, batched scoring, the memo)
+  // must reproduce the whole-mapping sequential protocol scored by the
+  // scalar oracle bit for bit.
   ExperimentSpec spec;
   spec.benchmark = "mpeg4";
   const auto problem = make_experiment(spec);
   OptimizerBudget budget;
   budget.max_evaluations = 1500;
-  const Engine reference(problem, {.cache_capacity = 0,
-                                   .incremental = false});
-  const Engine delta(problem, {.cache_capacity = 0, .incremental = true});
-  const Engine delta_cached(problem,
-                            {.cache_capacity = 512, .incremental = true});
+  const Engine delta(problem, {.cache_capacity = 0});
+  const Engine delta_cached(problem, {.cache_capacity = 512});
   for (const auto* name : {"sa", "tabu", "rpbla", "rs", "ga"}) {
-    const auto want = reference.run(name, budget, 42);
+    const auto want = oracle_run(problem, name, budget, 42);
     expect_identical_runs(delta.run(name, budget, 42), want);
     expect_identical_runs(delta_cached.run(name, budget, 42), want);
   }
@@ -317,7 +325,7 @@ TEST(EvaluatorEquivalence, OptimizerTrajectoriesMatchWholeMappingPath) {
 
 TEST(EvaluatorMemo, CacheHitsDoNotChangeLogicalCounts) {
   const auto problem = make_test_problem("mesh", "worst_snr", 31);
-  Evaluator evaluator(problem, {.cache_capacity = 64, .incremental = true});
+  Evaluator evaluator(problem, {.cache_capacity = 64});
   Rng rng(4);
   const auto mapping = Mapping::random(problem.task_count(),
                                        problem.tile_count(), rng);
@@ -335,7 +343,7 @@ TEST(EvaluatorMemo, CacheHitsDoNotChangeLogicalCounts) {
 
 TEST(EvaluatorMemo, ZeroCapacityDisablesTheCache) {
   const auto problem = make_test_problem("mesh", "worst_snr", 31);
-  Evaluator evaluator(problem, {.cache_capacity = 0, .incremental = true});
+  Evaluator evaluator(problem, {.cache_capacity = 0});
   Rng rng(4);
   const auto mapping = Mapping::random(problem.task_count(),
                                        problem.tile_count(), rng);
@@ -354,7 +362,7 @@ TEST(EvaluatorMemo, DuplicateHeavySamplingKeepsBudgetSemantics) {
   auto network = make_network(TopologyKind::Mesh, 2, "crux");
   MappingProblem problem(std::move(cg), network,
                          make_objective(OptimizationGoal::InsertionLoss));
-  Evaluator evaluator(problem, {.cache_capacity = 64, .incremental = true});
+  Evaluator evaluator(problem, {.cache_capacity = 64});
   SearchState state(evaluator, 4, 4, OptimizerBudget{500, 0.0}, 9);
   while (!state.exhausted())
     state.evaluate(Mapping::random(4, 4, state.rng()));
@@ -371,7 +379,7 @@ TEST(EvaluatorMemo, HitsPlusMissesEqualsCallsAndEvictionsAreCounted) {
   // enabled, every evaluate() is either a hit or a miss, and misses
   // are exactly the physical evaluations.
   const auto problem = make_test_problem("mesh", "worst_snr", 31);
-  Evaluator evaluator(problem, {.cache_capacity = 2, .incremental = true});
+  Evaluator evaluator(problem, {.cache_capacity = 2});
   Rng rng(11);
   std::vector<Mapping> mappings;
   for (int i = 0; i < 4; ++i)
@@ -395,7 +403,7 @@ TEST(EvaluatorMemo, HitsPlusMissesEqualsCallsAndEvictionsAreCounted) {
 
 TEST(EvaluatorMemo, DisabledCacheCountsNothing) {
   const auto problem = make_test_problem("mesh", "worst_snr", 31);
-  Evaluator evaluator(problem, {.cache_capacity = 0, .incremental = true});
+  Evaluator evaluator(problem, {.cache_capacity = 0});
   Rng rng(12);
   const auto mapping = Mapping::random(problem.task_count(),
                                        problem.tile_count(), rng);
@@ -411,7 +419,7 @@ TEST(EvaluatorMemo, ExportPreloadShiftsCostWithoutCountingActivity) {
   // into a fresh one, and the repeat request pays zero physical
   // evaluations — while the preload itself counts as no activity.
   const auto problem = make_test_problem("mesh", "worst_snr", 31);
-  Evaluator donor(problem, {.cache_capacity = 64, .incremental = true});
+  Evaluator donor(problem, {.cache_capacity = 64});
   Rng rng(13);
   std::vector<Mapping> mappings;
   for (int i = 0; i < 3; ++i)
@@ -429,7 +437,7 @@ TEST(EvaluatorMemo, ExportPreloadShiftsCostWithoutCountingActivity) {
                          mappings[2].assignment().begin(),
                          mappings[2].assignment().end()));
 
-  Evaluator fresh(problem, {.cache_capacity = 64, .incremental = true});
+  Evaluator fresh(problem, {.cache_capacity = 64});
   fresh.preload_memo(snapshot);
   EXPECT_EQ(fresh.cache_hit_count(), 0u);
   EXPECT_EQ(fresh.cache_miss_count(), 0u);
@@ -443,7 +451,7 @@ TEST(EvaluatorMemo, ExportPreloadShiftsCostWithoutCountingActivity) {
 
 TEST(EvaluatorMemo, PreloadRespectsCapacityAndKeepsTheFreshest) {
   const auto problem = make_test_problem("mesh", "worst_snr", 31);
-  Evaluator donor(problem, {.cache_capacity = 64, .incremental = true});
+  Evaluator donor(problem, {.cache_capacity = 64});
   Rng rng(14);
   std::vector<Mapping> mappings;
   for (int i = 0; i < 4; ++i)
@@ -451,7 +459,7 @@ TEST(EvaluatorMemo, PreloadRespectsCapacityAndKeepsTheFreshest) {
                                        problem.tile_count(), rng));
   for (const auto& mapping : mappings) (void)donor.evaluate(mapping);
 
-  Evaluator tiny(problem, {.cache_capacity = 2, .incremental = true});
+  Evaluator tiny(problem, {.cache_capacity = 2});
   tiny.preload_memo(donor.export_memo());
   EXPECT_EQ(tiny.cache_eviction_count(), 0u);  // preload never evicts
   // Only the snapshot's two most recent entries fit.

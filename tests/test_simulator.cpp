@@ -8,6 +8,7 @@
 #include "model/evaluation.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "workloads/benchmarks.hpp"
 #include "workloads/generator.hpp"
 
@@ -111,6 +112,36 @@ TEST_P(SimulatorBoundSweep, DynamicSnrBoundedByStaticWorstCase) {
 
 INSTANTIATE_TEST_SUITE_P(Apps, SimulatorBoundSweep,
                          ::testing::Values("pip", "mwd", "mpeg4", "vopd"));
+
+/// With two communications, a co-active attacker is the only noise a
+/// victim can see, so whenever heavy traffic makes the two circuits
+/// overlap, the simulated worst SNR equals the static worst case
+/// exactly: the simulator's pair noise must agree with the scalar
+/// oracle bit for bit.
+TEST(Simulator, TwoCoActiveEdgesReachTheStaticWorstCaseExactly) {
+  CommGraph cg("pairs");
+  for (const char* task : {"a", "b", "c", "d"}) cg.add_task(task);
+  cg.add_communication("a", "b", 64);
+  cg.add_communication("c", "d", 64);
+  const auto net = make_network(TopologyKind::Mesh, 3, "crux");
+  const double ceiling = net->options().snr_ceiling_db;
+  SimulationOptions options;
+  options.duration_ns = 20000.0;
+  options.arrivals_per_us = 20.0;
+  Rng rng(5);
+  int crosstalk_seen = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto mapping = Mapping::random(4, net->tile_count(), rng);
+    const auto dynamic_result = simulate(*net, cg, mapping, options);
+    if (dynamic_result.worst_snr_db == ceiling) continue;  // never co-active
+    ++crosstalk_seen;
+    const auto static_result =
+        evaluate_mapping(*net, cg, mapping.assignment());
+    EXPECT_EQ(dynamic_result.worst_snr_db, static_result.worst_snr_db)
+        << "trial " << trial;
+  }
+  EXPECT_GT(crosstalk_seen, 0);
+}
 
 TEST(Simulator, ConflictingCircuitsNeverOverlap) {
   // Two tasks sending to the same destination must serialize (ejection
